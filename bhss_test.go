@@ -78,6 +78,31 @@ func TestSimLinkHoppingBeatsFixedUnderJamming(t *testing.T) {
 	}
 }
 
+// TestSimLinkReactiveJammerSenses checks that a sensing jammer on a SimLink
+// overhears the burst on the air: it senses, estimates the signal's
+// bandwidth and retunes within a single frame, and its metrics reach the
+// link's observer.
+func TestSimLinkReactiveJammerSenses(t *testing.T) {
+	jam, err := NewReactiveJammer(128, 512, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := NewSimLink(DefaultConfig(11), ChannelModel{NoiseVar: 0.01, Seed: 5}, jam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := NewObserver()
+	link.WithObserver(met)
+	// Whether the jammed frame survives does not matter here.
+	_, _, _ = link.Send([]byte("sensed"))
+	if n := met.Jam.Estimates.Load(); n < 1 {
+		t.Fatalf("reactive jammer made %d bandwidth estimates in one Send, want >= 1", n)
+	}
+	if n := met.Jam.Retunes.Load(); n < 1 {
+		t.Fatalf("reactive jammer retuned %d times in one Send, want >= 1", n)
+	}
+}
+
 func TestSimLinkValidation(t *testing.T) {
 	if _, err := NewSimLink(DefaultConfig(1), ChannelModel{NoiseVar: -1}, nil); err == nil {
 		t.Fatal("negative noise should error")

@@ -78,7 +78,7 @@ func main() {
   fidelity        packet loss vs front-end impairment severity (minutes)
   soak            transport-resilience soak over a chaos proxy (seconds)
   capacity        concurrent verified links vs real-time factor (seconds)
-  throughput      end-to-end link rate, serial + pipelined     (seconds)
+  throughput      end-to-end link rate (encode + decode)       (seconds)
   all             every paper artifact above (soak, capacity and throughput excluded)`)
 		return
 	}

@@ -1,10 +1,10 @@
 // Package channel models the paper's experimental medium. The authors
 // connected transmitter, jammer and receiver over SMA coax, attenuators and
 // a T-connector (Figure 12) and argue the result "can be modeled as additive
-// white Gaussian noise (AWGN) channels"; this package implements exactly
-// that: per-port attenuation, signal summation, AWGN, and — because the
-// SDRs ran on free, unsynchronized oscillators — optional carrier frequency,
-// phase and sampling-time offsets.
+// white Gaussian noise (AWGN) channels". The package has two parts: AWGN,
+// the receiver noise floor, and Medium, the one place that composes the
+// whole path — gain, the free-running oscillators' phase and frequency
+// offset, the jammer, noise and the receiver front end — in that order.
 package channel
 
 import (
@@ -13,6 +13,7 @@ import (
 
 	"bhss/internal/dsp"
 	"bhss/internal/impair"
+	"bhss/internal/jammer"
 	"bhss/internal/obs"
 	"bhss/internal/prng"
 )
@@ -34,9 +35,6 @@ func NewAWGN(variance float64, seed uint64) *AWGN {
 	}
 	return &AWGN{src: prng.New(seed), variance: variance, amp: math.Sqrt(variance)}
 }
-
-// Variance returns the configured per-sample noise variance.
-func (a *AWGN) Variance() float64 { return a.variance }
 
 // SetObserver attaches channel metrics (nil detaches). Recording never
 // touches the sample stream or the noise source's PRNG state.
@@ -60,137 +58,115 @@ func (a *AWGN) Add(x []complex128) {
 	}
 }
 
-// Sample returns one noise sample (used by streaming paths).
-func (a *AWGN) Sample() complex128 {
-	if a.variance == 0 {
-		return 0
-	}
-	return a.src.ComplexNorm() * complex(a.amp, 0)
-}
-
-// Attenuate scales x in place by the given attenuation in dB (positive
-// values reduce power), modeling the inline attenuators of the testbed.
-func Attenuate(x []complex128, dB float64) {
-	dsp.Scale(x, math.Pow(10, -dB/20))
-}
-
-// Gain scales x in place by the given gain in dB (positive values increase
-// power), modeling the SDR transmit gain setting.
-func Gain(x []complex128, dB float64) {
-	dsp.Scale(x, math.Pow(10, dB/20))
-}
-
-// Impairments models the front-end offsets between two free-running SDRs.
-type Impairments struct {
-	// CFO is the carrier frequency offset in cycles per sample.
-	CFO float64
-	// Phase is the initial carrier phase offset in radians.
-	Phase float64
-	// Delay is a possibly fractional sample delay (>= 0).
-	Delay float64
-	// ClockSkewPPM is the sample-clock rate mismatch in parts per million
-	// (positive: the receiver's clock runs fast, so the signal appears
-	// stretched). The testbed's TCXOs are a few ppm, which accumulates to
-	// well under one sample over a burst — the receiver's ideal chip
-	// timing model depends on exactly this property (see the package
-	// test TestRealisticSkewIsSubChipPerBurst).
-	ClockSkewPPM float64
-}
-
-// Apply returns a new slice with the impairments applied to x
-// (resampling and delay first, then the frequency/phase rotation).
-func (im Impairments) Apply(x []complex128) []complex128 {
-	out := append([]complex128(nil), x...)
-	if im.ClockSkewPPM != 0 {
-		out = resample(out, 1+im.ClockSkewPPM*1e-6)
-	}
-	if im.Delay != 0 {
-		out = dsp.FractionalDelay(out, im.Delay)
-	}
-	if im.CFO != 0 || im.Phase != 0 {
-		dsp.Mix(out, im.CFO, im.Phase)
-	}
-	return out
-}
-
-// resample stretches x by the given rate factor using linear interpolation,
-// keeping the output length equal to the input (the tail repeats the last
-// sample if the stretched signal runs out early).
-func resample(x []complex128, rate float64) []complex128 {
-	out := make([]complex128, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	for i := range out {
-		t := float64(i) / rate
-		j := int(t)
-		if j >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := t - float64(j)
-		out[i] = x[j]*complex(1-frac, 0) + x[j+1]*complex(frac, 0)
-	}
-	return out
-}
-
-// Combine sums any number of sample streams (the T-connector). The output
-// length is the longest input; shorter inputs are treated as silent after
-// they end.
-func Combine(streams ...[]complex128) []complex128 {
-	var n int
-	for _, s := range streams {
-		if len(s) > n {
-			n = len(s)
-		}
-	}
-	out := make([]complex128, n)
-	for _, s := range streams {
-		for i, v := range s {
-			out[i] += v
-		}
-	}
-	return out
-}
-
-// Link bundles the full path from one transmitter port to the receiver:
-// attenuation, impairments, then (at the receiver) noise is added once for
-// the combined signal — use Combine plus AWGN.Add for multi-port setups.
-type Link struct {
-	AttenuationDB float64
-	Impairments   Impairments
-	// Front, when non-nil, is the receiver front-end impairment chain
-	// (internal/impair) applied after attenuation. For multi-port setups
-	// apply one chain to the combined signal with ApplyFront instead, so
-	// the front end distorts jammer and signal alike, as hardware does.
-	Front *impair.Chain
-}
-
-// Transmit pushes a burst through the link and returns the received
-// samples (no noise; add it after combining).
-func (l Link) Transmit(x []complex128) []complex128 {
-	out := l.Impairments.Apply(x)
-	Attenuate(out, l.AttenuationDB)
-	return ApplyFront(l.Front, out)
-}
-
-// ApplyFront passes x through the receiver front-end chain and returns the
-// impaired samples (a new slice; the chain may change the length when a
-// clock-skew stage resamples). A nil or empty chain returns x unchanged.
-func ApplyFront(front *impair.Chain, x []complex128) []complex128 {
-	if front.Len() == 0 {
-		return x
-	}
-	return front.ProcessAppend(make([]complex128, 0, len(x)+len(x)/128+8), x)
-}
-
-// NoiseVarForSNR returns the AWGN variance that realizes the given SNR (dB)
-// for a signal of the given average power.
+// Medium is the simulated testbed between one transmitter and the
+// receiver. Apply passes each burst through its stages in this order:
 //
-//bhss:planphase scenario configuration; runs before any sample flows
-func NoiseVarForSNR(signalPower, snrDB float64) float64 {
-	if signalPower < 0 {
-		panic("channel: negative signal power")
+//  1. Gain, the amplitude gain of transmit setting and attenuators;
+//  2. a per-burst carrier rotation drawn from the caller's source — a
+//     uniform phase (RandomPhase), then the sign of a CFO of fixed
+//     magnitude — modelling the SDRs' free-running oscillators;
+//  3. the jammer, summed at the T-connector. A jammer.TxAware overhears the
+//     burst as it stands here, rotated but before noise, and jams
+//     sample-aligned with it; any other Source emits blind;
+//  4. Noise, the receiver's AWGN floor;
+//  5. Front, the receiver front-end chain, which distorts the composite
+//     (jammer and signal alike, as hardware does). Its stage state
+//     persists across bursts.
+//
+// Nil Jammer, Noise or Front skip their stage. A Medium reuses its buffers,
+// so a steady-state link allocates nothing per burst.
+type Medium struct {
+	// Gain scales the burst's amplitude; 1 leaves it untouched and 0
+	// silences the transmitter.
+	Gain float64
+	// RandomPhase rotates each burst by a uniform random carrier phase.
+	RandomPhase bool
+	// CFO is the magnitude of the carrier frequency offset in
+	// cycles/sample; its sign is drawn per burst. 0 disables it.
+	CFO float64
+	// Jammer is the interferer, or nil for an unjammed medium.
+	Jammer jammer.Source
+	// Noise is the receiver noise floor, or nil for none.
+	Noise *AWGN
+	// Front is the receiver front-end impairment chain, or nil for none.
+	Front *impair.Chain
+
+	met *obs.ChanMetrics
+	//bhss:scratch
+	air []complex128 // the burst on the air: gain, rotation, jammer, noise
+	//bhss:scratch
+	impaired []complex128 // Front's output
+}
+
+// SetObserver attaches a metrics pipeline to every stage that records
+// (nil detaches): channel counters and the noise timer, a sensing jammer's
+// follower metrics, and the front-end chain's stage metrics. Attach it
+// after setting the stages. Recording never touches the sample stream.
+func (m *Medium) SetObserver(p *obs.Pipeline) {
+	var jm *obs.JamMetrics
+	var im *obs.ImpairMetrics
+	m.met = nil
+	if p != nil {
+		m.met, jm, im = &p.Chan, &p.Jam, &p.Impair
 	}
-	return signalPower / math.Pow(10, snrDB/10)
+	if m.Noise != nil {
+		m.Noise.SetObserver(m.met)
+	}
+	if ta, ok := m.Jammer.(jammer.TxAware); ok {
+		ta.SetObserver(jm)
+	}
+	if m.Front != nil {
+		m.Front.SetObserver(im)
+	}
+}
+
+// Apply passes one burst through the medium and returns what the receiver
+// captures. burst is not modified; src supplies the per-burst phase and CFO
+// sign draws and is not touched when neither is enabled.
+//
+//bhss:scratchview the capture is valid until the next Apply call
+func (m *Medium) Apply(burst []complex128, src *prng.Source) []complex128 {
+	m.air = append(m.air[:0], burst...)
+	air := m.air
+	if m.Gain != 1 {
+		g := complex(m.Gain, 0)
+		for k := range air {
+			air[k] *= g
+		}
+	}
+	if m.RandomPhase || m.CFO > 0 {
+		phase := 0.0
+		if m.RandomPhase {
+			phase = 2 * math.Pi * src.Float64()
+		}
+		cfo := 0.0
+		if m.CFO > 0 {
+			cfo = m.CFO
+			if src.Bit() == 1 {
+				cfo = -cfo
+			}
+		}
+		dsp.Mix(air, cfo, phase)
+	}
+	if m.Jammer != nil {
+		var j []complex128
+		if ta, ok := m.Jammer.(jammer.TxAware); ok {
+			ta.NewBurst()
+			j = ta.Jam(air)
+		} else {
+			j = m.Jammer.Emit(len(air))
+		}
+		dsp.AddTo(air, j)
+		if m.met != nil {
+			m.met.JamSamples.Add(int64(len(j)))
+		}
+	}
+	if m.Noise != nil {
+		m.Noise.Add(air)
+	}
+	if m.Front.Len() == 0 {
+		return air
+	}
+	m.impaired = m.Front.ProcessAppend(m.impaired[:0], air)
+	return m.impaired
 }

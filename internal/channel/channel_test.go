@@ -5,7 +5,11 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"bhss/internal/alloctest"
 	"bhss/internal/dsp"
+	"bhss/internal/impair"
+	"bhss/internal/obs"
+	"bhss/internal/prng"
 )
 
 func constSignal(n int, v complex128) []complex128 {
@@ -16,15 +20,22 @@ func constSignal(n int, v complex128) []complex128 {
 	return x
 }
 
+// rampSignal returns n distinct samples, so any reordering or misalignment
+// between stages shows up sample by sample.
+func rampSignal(n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(0.5+0.01*float64(i), -0.25+0.003*float64(i))
+	}
+	return x
+}
+
 func TestAWGNVariance(t *testing.T) {
 	a := NewAWGN(2.5, 1)
 	x := make([]complex128, 100000)
 	a.Add(x)
 	if p := dsp.Power(x); math.Abs(p-2.5)/2.5 > 0.03 {
 		t.Fatalf("noise power %v, want 2.5", p)
-	}
-	if a.Variance() != 2.5 {
-		t.Fatal("Variance accessor wrong")
 	}
 }
 
@@ -37,15 +48,14 @@ func TestAWGNZeroVarianceIsNoop(t *testing.T) {
 			t.Fatal("zero-variance noise changed the signal")
 		}
 	}
-	if a.Sample() != 0 {
-		t.Fatal("zero-variance sample should be 0")
-	}
 }
 
 func TestAWGNDeterministic(t *testing.T) {
-	a, b := NewAWGN(1, 7), NewAWGN(1, 7)
-	for i := 0; i < 100; i++ {
-		if a.Sample() != b.Sample() {
+	x, y := make([]complex128, 100), make([]complex128, 100)
+	NewAWGN(1, 7).Add(x)
+	NewAWGN(1, 7).Add(y)
+	for i := range x {
+		if x[i] != y[i] {
 			t.Fatal("same-seed noise sources diverged")
 		}
 	}
@@ -60,101 +70,15 @@ func TestAWGNPanicsOnNegativeVariance(t *testing.T) {
 	NewAWGN(-1, 0)
 }
 
-func TestAttenuateAndGain(t *testing.T) {
-	x := constSignal(10, 1)
-	Attenuate(x, 20) // -20 dB -> amplitude 0.1
-	if math.Abs(real(x[0])-0.1) > 1e-12 {
-		t.Fatalf("attenuated amplitude %v, want 0.1", x[0])
-	}
-	Gain(x, 20)
-	if math.Abs(real(x[0])-1) > 1e-12 {
-		t.Fatalf("gain did not undo attenuation: %v", x[0])
-	}
-}
-
-func TestImpairmentsDelayAndCFO(t *testing.T) {
-	im := Impairments{CFO: 0.25, Phase: 0, Delay: 2}
-	x := []complex128{1, 1, 1, 1, 1, 1}
-	y := im.Apply(x)
-	if y[0] != 0 || y[1] != 0 {
-		t.Fatalf("delay not applied: %v", y[:2])
-	}
-	// After the delay, samples rotate by 2π*0.25 per sample.
-	r3 := y[3] / y[2]
-	if cmplx.Abs(r3-cmplx.Exp(complex(0, math.Pi/2))) > 1e-9 {
-		t.Fatalf("CFO rotation per sample = %v, want e^{jπ/2}", r3)
-	}
-	// Original slice untouched.
-	if x[0] != 1 {
-		t.Fatal("Apply must not mutate its input")
-	}
-}
-
-func TestImpairmentsIdentity(t *testing.T) {
-	x := []complex128{1 + 2i, 3, -1i}
-	y := Impairments{}.Apply(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatal("zero impairments must be identity")
-		}
-	}
-}
-
-func TestCombine(t *testing.T) {
-	a := []complex128{1, 2, 3}
-	b := []complex128{10, 20}
-	got := Combine(a, b)
-	want := []complex128{11, 22, 3}
-	if len(got) != 3 {
-		t.Fatalf("combined length %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("combine = %v", got)
-		}
-	}
-	if len(Combine()) != 0 {
-		t.Fatal("combining nothing should be empty")
-	}
-}
-
-func TestLinkTransmit(t *testing.T) {
-	l := Link{AttenuationDB: 6.0206} // ~ amplitude / 2
-	x := constSignal(8, 2)
-	y := l.Transmit(x)
-	if math.Abs(real(y[0])-1) > 1e-3 {
-		t.Fatalf("6 dB attenuated amplitude %v, want ~1", y[0])
-	}
-}
-
-func TestNoiseVarForSNR(t *testing.T) {
-	v := NoiseVarForSNR(1, 20)
-	if math.Abs(v-0.01) > 1e-12 {
-		t.Fatalf("noise var %v, want 0.01", v)
-	}
-	// End-to-end: signal power 4 at 3 dB SNR -> noise ~2.
-	if v := NoiseVarForSNR(4, 3.0102999566); math.Abs(v-2) > 1e-6 {
-		t.Fatalf("noise var %v, want 2", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative power should panic")
-		}
-	}()
-	NoiseVarForSNR(-1, 0)
-}
-
 func TestEndToEndSNR(t *testing.T) {
-	// A unit-power signal over a link with 10 dB SNR: measured SNR within
-	// tolerance.
+	// A unit-power signal over a medium with a 10 dB SNR floor: measured
+	// SNR within tolerance.
 	x := make([]complex128, 50000)
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 0.3*float64(i)))
 	}
-	p := dsp.Power(x)
-	noise := NewAWGN(NoiseVarForSNR(p, 10), 3)
-	y := append([]complex128(nil), x...)
-	noise.Add(y)
+	m := Medium{Gain: 1, Noise: NewAWGN(dsp.Power(x)/10, 3)}
+	y := m.Apply(x, nil)
 	diff := make([]complex128, len(x))
 	for i := range diff {
 		diff[i] = y[i] - x[i]
@@ -165,38 +89,162 @@ func TestEndToEndSNR(t *testing.T) {
 	}
 }
 
-func TestResampleIdentityAtUnitRate(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	y := Impairments{ClockSkewPPM: 0}.Apply(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatal("zero skew must be identity")
+// listener is a sensing jammer that records what it overheard and answers
+// with a fixed waveform.
+type listener struct {
+	heard  []complex128
+	out    []complex128
+	bursts int
+	emits  int
+	met    *obs.JamMetrics
+}
+
+func (l *listener) Emit(n int) []complex128 { l.emits++; return l.out[:n] }
+func (l *listener) Power() float64          { return dsp.Power(l.out) }
+func (l *listener) Reset()                  {}
+func (l *listener) NewBurst()               { l.bursts++ }
+func (l *listener) SetObserver(m *obs.JamMetrics) {
+	l.met = m
+}
+func (l *listener) Jam(tx []complex128) []complex128 {
+	l.heard = append(l.heard[:0], tx...)
+	return l.out[:len(tx)]
+}
+
+// blind is a plain Source: it can only emit.
+type blind struct {
+	out   []complex128
+	emits int
+}
+
+func (b *blind) Emit(n int) []complex128 { b.emits++; return b.out[:n] }
+func (b *blind) Power() float64          { return dsp.Power(b.out) }
+func (b *blind) Reset()                  {}
+
+// TestMediumStageOrder pins the stage order sample by sample: gain, then the
+// per-burst phase and signed CFO, then the jammer (a sensing jammer hears
+// the rotated burst before noise), then AWGN, then the front end over the
+// composite.
+func TestMediumStageOrder(t *testing.T) {
+	const n, gain, cfo = 300, 1.7, 3e-3
+	const noiseVar, noiseSeed = 0.01, 5
+	burst := rampSignal(n)
+	jam := &listener{out: constSignal(n, 0.2-0.1i)}
+	front, err := impair.NewFromSpec("dc=0.5:-0.25", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Medium{Gain: gain, RandomPhase: true, CFO: cfo, Jammer: jam,
+		Noise: NewAWGN(noiseVar, noiseSeed), Front: front}
+	got := m.Apply(burst, prng.New(11))
+
+	// The same arithmetic, stage by stage, from a replica of the source.
+	ref := prng.New(11)
+	phase := 2 * math.Pi * ref.Float64()
+	f := cfo
+	if ref.Bit() == 1 {
+		f = -f
+	}
+	want := append([]complex128(nil), burst...)
+	for k := range want {
+		want[k] *= complex(gain, 0)
+	}
+	dsp.Mix(want, f, phase)
+	if jam.bursts != 1 || jam.emits != 0 {
+		t.Fatalf("sensing jammer: %d bursts, %d blind emits; want 1, 0", jam.bursts, jam.emits)
+	}
+	for k := range want {
+		if jam.heard[k] != want[k] {
+			t.Fatalf("jammer heard sample %d = %v, want the rotated burst %v", k, jam.heard[k], want[k])
+		}
+	}
+	for k := range want {
+		want[k] += jam.out[k]
+	}
+	NewAWGN(noiseVar, noiseSeed).Add(want)
+	if len(got) != n {
+		t.Fatalf("capture length %d, want %d", len(got), n)
+	}
+	for k := range want {
+		if w := want[k] + complex(0.5, -0.25); got[k] != w {
+			t.Fatalf("capture sample %d = %v, want front end over the composite %v", k, got[k], w)
+		}
+	}
+	for k, v := range rampSignal(n) {
+		if burst[k] != v {
+			t.Fatal("Apply modified the transmitted burst")
 		}
 	}
 }
 
-func TestResampleStretches(t *testing.T) {
-	// A huge artificial skew for visibility: 1e5 ppm = 10% stretch.
-	x := make([]complex128, 100)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
+func TestMediumBlindJammerEmits(t *testing.T) {
+	burst := rampSignal(64)
+	jam := &blind{out: constSignal(64, 1i)}
+	m := Medium{Gain: 1, Jammer: jam}
+	got := m.Apply(burst, nil)
+	if jam.emits != 1 {
+		t.Fatalf("blind jammer emitted %d times, want 1", jam.emits)
 	}
-	y := Impairments{ClockSkewPPM: 1e5}.Apply(x)
-	// Sample i of the output reads position i/1.1 of the input.
-	if math.Abs(real(y[11])-10) > 0.01 {
-		t.Fatalf("y[11] = %v, want ~10", y[11])
+	for k := range burst {
+		if got[k] != burst[k]+1i {
+			t.Fatalf("sample %d = %v, want burst + jammer", k, got[k])
+		}
 	}
 }
 
-// The justification for the receiver's ideal chip-timing model: at the
-// testbed's few-ppm clock skews, the accumulated timing drift over a whole
-// burst stays far below one sample, so the matched-filter demodulator's
-// metric is essentially untouched.
-func TestRealisticSkewIsSubChipPerBurst(t *testing.T) {
-	const burstSamples = 65536 // the longest frames in the experiments
-	const skewPPM = 2.5        // USRP N210-class TCXO
-	drift := burstSamples * skewPPM * 1e-6
-	if drift > 0.5 {
-		t.Fatalf("accumulated drift %v samples; the ideal-timing model would be invalid", drift)
+func TestMediumIdentity(t *testing.T) {
+	burst := rampSignal(32)
+	m := Medium{Gain: 1}
+	got := m.Apply(burst, nil)
+	for k := range burst {
+		if got[k] != burst[k] {
+			t.Fatal("a unit-gain medium without stages must be transparent")
+		}
 	}
+}
+
+func TestMediumObserver(t *testing.T) {
+	const n = 128
+	jam := &listener{out: constSignal(n, 0.1)}
+	front, err := impair.NewFromSpec("dc=0.1", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Medium{Gain: 1, Jammer: jam, Noise: NewAWGN(0.01, 1), Front: front}
+	p := obs.NewPipeline()
+	m.SetObserver(p)
+	if jam.met != &p.Jam {
+		t.Fatal("sensing jammer did not get the pipeline's jammer metrics")
+	}
+	m.Apply(rampSignal(n), nil)
+	if got := p.Chan.JamSamples.Load(); got != n {
+		t.Fatalf("jam samples %d, want %d", got, n)
+	}
+	if got := p.Chan.NoiseSamples.Load(); got != n {
+		t.Fatalf("noise samples %d, want %d", got, n)
+	}
+	if got := p.Impair.In.Load(); got != n {
+		t.Fatalf("front-end input %d, want %d", got, n)
+	}
+	m.SetObserver(nil)
+	if jam.met != nil {
+		t.Fatal("SetObserver(nil) must detach the jammer")
+	}
+	m.Apply(rampSignal(n), nil)
+	if got := p.Chan.JamSamples.Load(); got != n {
+		t.Fatalf("detached medium still counted: %d", got)
+	}
+}
+
+func TestMediumZeroAlloc(t *testing.T) {
+	const n = 1024
+	front, err := impair.NewFromSpec("ppm=20,dc=0.01", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Medium{Gain: 0.5, RandomPhase: true, CFO: 1e-4,
+		Jammer: &listener{out: constSignal(n, 0.1)}, Noise: NewAWGN(0.01, 1), Front: front}
+	m.SetObserver(obs.NewPipeline())
+	burst, src := rampSignal(n), prng.New(3)
+	alloctest.AssertZero(t, "Medium.Apply", func() { m.Apply(burst, src) })
 }

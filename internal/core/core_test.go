@@ -9,6 +9,7 @@ import (
 	"bhss/internal/channel"
 	"bhss/internal/dsp"
 	"bhss/internal/hop"
+	"bhss/internal/impair"
 	"bhss/internal/jammer"
 	"bhss/internal/spectral"
 )
@@ -207,18 +208,16 @@ func TestWidebandJammerLowPassFilter(t *testing.T) {
 		}
 		// Free-running oscillators: the carrier loop must track this
 		// offset, which it can only do once the jamming is suppressed.
-		im := channel.Impairments{CFO: 9e-5, Phase: 0.8}
-		air := im.Apply(burst.Samples)
-		// Signal 9, jammer 50: filtered SINR ~6 dB (loop tracks),
-		// unfiltered ~-7.5 dB (loop gain collapses).
-		dsp.Scale(air, 3)
+		air := append([]complex128(nil), burst.Samples...)
+		dsp.Mix(air, 9e-5, 0.8)
 		jam, err := jammer.NewBandlimited(0.5, 50, 31)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(air, jam.Emit(len(air)))
-		channel.NewAWGN(0.01, 5).Add(rxSamples)
-		got, stats, err := rx.DecodeBurst(rxSamples)
+		// Signal 9, jammer 50: filtered SINR ~6 dB (loop tracks),
+		// unfiltered ~-7.5 dB (loop gain collapses).
+		med := channel.Medium{Gain: 3, Jammer: jam, Noise: channel.NewAWGN(0.01, 5)}
+		got, stats, err := rx.DecodeBurst(med.Apply(air, nil))
 		return err == nil && bytes.Equal(got, payload), stats
 	}
 
@@ -255,9 +254,8 @@ func TestNarrowbandJammerExcisionFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
-		channel.NewAWGN(0.01, 6).Add(rxSamples)
-		got, stats, err := rx.DecodeBurst(rxSamples)
+		med := channel.Medium{Gain: 1, Jammer: jam, Noise: channel.NewAWGN(0.01, 6)}
+		got, stats, err := rx.DecodeBurst(med.Apply(burst.Samples, nil))
 		return err == nil && bytes.Equal(got, payload), stats
 	}
 
@@ -293,9 +291,8 @@ func TestMatchedJammerDefeatsFixedBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
-	channel.NewAWGN(0.01, 7).Add(rxSamples)
-	_, stats, err := rx.DecodeBurst(rxSamples)
+	med := channel.Medium{Gain: 1, Jammer: jam, Noise: channel.NewAWGN(0.01, 7)}
+	_, stats, err := rx.DecodeBurst(med.Apply(burst.Samples, nil))
 	if err == nil {
 		t.Fatal("matched jammer at -20 dB SJR should kill the frame")
 	}
@@ -317,7 +314,7 @@ func TestHoppingEscapesMatchedJammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noise := channel.NewAWGN(0.01, 8)
+	med := channel.Medium{Gain: 1, Jammer: jam, Noise: channel.NewAWGN(0.01, 8)}
 	payload := []byte("h") // one-byte payload: 5 hops per frame
 	const frames = 20
 	ok := 0
@@ -326,9 +323,7 @@ func TestHoppingEscapesMatchedJammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
-		noise.Add(rxSamples)
-		if got, _, err := rx.DecodeBurst(rxSamples); err == nil && bytes.Equal(got, payload) {
+		if got, _, err := rx.DecodeBurst(med.Apply(burst.Samples, nil)); err == nil && bytes.Equal(got, payload) {
 			ok++
 		}
 	}
@@ -490,8 +485,14 @@ func TestRealisticClockSkewHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := channel.Impairments{ClockSkewPPM: 2.5}
-	got, stats, err := rx.DecodeBurst(im.Apply(burst.Samples))
+	// The ppm stage runs a few samples behind its input (interpolator
+	// look-ahead); trailing silence flushes the burst's last chips.
+	skew, err := impair.NewFromSpec("ppm=2.5", cfg.SampleRate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	air := append(burst.Samples, make([]complex128, 8)...)
+	got, stats, err := rx.DecodeBurst(skew.Process(air))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("decode under realistic skew: %v", err)
 	}

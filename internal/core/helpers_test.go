@@ -121,17 +121,12 @@ func TestNoDetectionGapAcrossSignalLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		air := append([]complex128(nil), burst.Samples...)
-		for i := range air {
-			air[i] *= complex(gain, 0)
-		}
 		jam, err := jammer.NewBandlimited(0.15625/20.0, 100, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxS := channel.Combine(air, jam.Emit(len(air)))
-		channel.NewAWGN(0.01, 3).Add(rxS)
-		got, _, err := rx.DecodeBurst(rxS)
+		med := channel.Medium{Gain: gain, Jammer: jam, Noise: channel.NewAWGN(0.01, 3)}
+		got, _, err := rx.DecodeBurst(med.Apply(burst.Samples, nil))
 		ok := err == nil && string(got) == string(payload)
 		if decodedOnce && !ok {
 			failuresAboveThreshold++

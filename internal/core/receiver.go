@@ -132,10 +132,6 @@ type Receiver struct {
 	stats RxStats
 
 	scratch rxScratch
-
-	// pipe is the optional concurrent decode pipeline (EnablePipeline);
-	// nil selects the serial hop loop.
-	pipe *rxPipeline
 }
 
 // SetObserver attaches a metrics pipeline to the receiver (nil detaches).
@@ -448,64 +444,31 @@ func (r *Receiver) pulseShapeGain(sps, k int) []float64 {
 	return shape
 }
 
-// inBandBins extracts the PSD bins within the two-sided band bw (un-shifted
-// ordering in, contiguous slice out).
-func inBandBins(psd []float64, bw float64) []float64 {
-	k := len(psd)
-	half := bw / 2
-	out := make([]float64, 0, k)
-	for i, p := range psd {
-		f := float64(i) / float64(k)
-		if f >= 0.5 {
-			f -= 1
-		}
-		if f >= -half && f <= half {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // filterHop applies the decided filter to the hop's samples. The returned
 // slice aliases receiver scratch that stays valid until the next hop is
-// filtered.
+// filtered; FilterNone returns seg itself, untouched.
 //
 //bhss:hotpath
 //bhss:scratchview output is valid until the next filterHop call
 func (r *Receiver) filterHop(seg []complex128, sps int, decision FilterDecision, ctx hopFilterCtx) ([]complex128, error) {
-	out, err := r.filterHopInto(r.scratch.filtered[:0], seg, sps, decision, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if decision != FilterNone {
-		r.scratch.filtered = out
-	}
-	return out, nil
-}
-
-// filterHopInto is filterHop writing into dst's storage, for callers (the
-// decode pipeline) that own per-slot output buffers instead of sharing the
-// receiver scratch. FilterNone returns seg itself, untouched.
-//
-//bhss:hotpath
-func (r *Receiver) filterHopInto(dst, seg []complex128, sps int, decision FilterDecision, ctx hopFilterCtx) ([]complex128, error) {
 	if r.met != nil && decision != FilterNone {
 		defer r.met.RecordStage(obs.StageRxFilter, obs.Start())
 	}
 	switch decision {
 	case FilterLowPass:
 		//bhss:allow(hotpathfacts) FIR designs and their overlap-save convolvers are memoized per sps; allocates only on cache miss
-		return r.lowPass(sps).Convolver().ApplySame(dst, seg), nil
+		r.scratch.filtered = r.lowPass(sps).Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	case FilterExcision:
 		//bhss:allow(hotpathfacts) notch designs are memoized by quantized-spectrum hash (scratch grows amortized); allocates only on cache miss
 		f, err := r.notchFilter(sps, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return f.Convolver().ApplySame(dst, seg), nil
+		r.scratch.filtered = f.Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	default:
 		return seg, nil
 	}
+	return r.scratch.filtered, nil
 }
 
 // notchFilter returns the excision filter for the hop: a notch-floor
@@ -621,15 +584,6 @@ func peakToQuantile(xs []float64, q float64) float64 {
 	return ratioOrInf(peak, quantileLevel(xs, q))
 }
 
-// peakOverRef is peakToQuantile for an already-sorted slice with the
-// reference level in hand: the peak is the last element.
-func peakOverRef(sorted []float64, ref float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return ratioOrInf(sorted[len(sorted)-1], ref)
-}
-
 // ratioOrInf returns peak/ref, mapping a zero reference to 0 (when the peak
 // is zero too) or +Inf.
 func ratioOrInf(peak, ref float64) float64 {
@@ -738,10 +692,6 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		}
 	}
 
-	if r.pipe != nil {
-		return r.decodeHopsPipelined(stats, samples, sched, scramblerSeed, loop)
-	}
-
 	chips := r.scratch.chips[:0]
 	totalSymbols := -1 // unknown until the length byte is decoded
 	maxSymbols := frame.EncodedSymbols(frame.MaxPayload)
@@ -830,13 +780,6 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 			totalSymbols = total
 		}
 	}
-	return r.finishBurst(stats, chips, loop, rotation, scramblerSeed)
-}
-
-// finishBurst is the post-hop-loop tail of a decode, shared by the serial
-// path and the pipeline: record the carrier loop's verdict, undo the QPSK
-// rotation ambiguity, despread and frame-decode the accumulated chips.
-func (r *Receiver) finishBurst(stats *RxStats, chips []complex128, loop *tracking.Costas, rotation complex128, scramblerSeed uint64) ([]byte, error) {
 	r.scratch.chips = chips // keep the grown buffer for the next burst
 	if loop != nil {
 		stats.CarrierFreq = loop.Frequency()

@@ -14,7 +14,6 @@ import (
 
 	"bhss/internal/channel"
 	"bhss/internal/core"
-	"bhss/internal/dsp"
 	"bhss/internal/impair"
 	"bhss/internal/jammer"
 	"bhss/internal/obs"
@@ -149,52 +148,38 @@ func (t Trial) PacketLossDetail(snrDB float64, pointSeed uint64) (plr, meanLock 
 	}
 	tx.SetObserver(met)
 	rx.SetObserver(met)
-	var jam jammer.Source
-	var sensing jammer.TxAware
+	// The point's testbed medium: the signal at snrDB over the noise
+	// floor, a fresh per-frame phase and CFO sign, the jammer and the
+	// receiver front end. Sensing adversaries (the reactive/multitone/
+	// adaptive followers) overhear the over-the-air burst and jam
+	// sample-aligned with it, the estimator-follower threat model of
+	// DESIGN.md §16. Front-end stage state (oscillator phase, clock drift,
+	// dropout runs) persists across the point's frames, as it would on
+	// hardware; the point seed keeps it deterministic.
+	med := channel.Medium{
+		Gain:        math.Sqrt(t.Scale.NoiseVar) * stats.AmplitudeFromDB(snrDB),
+		RandomPhase: t.RandomPhase,
+		CFO:         t.CFO,
+		Noise:       channel.NewAWGN(t.Scale.NoiseVar, pointSeed^0x5a5a5a5a),
+	}
 	if t.NewJammer != nil {
-		jam, err = t.NewJammer(pointSeed ^ 0xa5a5a5a5)
-		if err != nil {
+		if med.Jammer, err = t.NewJammer(pointSeed ^ 0xa5a5a5a5); err != nil {
 			return 0, 0, err
 		}
-		// Sensing adversaries (the reactive/multitone/adaptive followers)
-		// overhear the over-the-air burst — gain, phase and CFO applied,
-		// before noise — and jam sample-aligned with it, exactly the
-		// estimator-follower threat model of DESIGN.md §16.
-		if ta, ok := jam.(jammer.TxAware); ok {
-			sensing = ta
-			if met != nil {
-				ta.SetObserver(&met.Jam)
-			}
-		}
 	}
-	noise := channel.NewAWGN(t.Scale.NoiseVar, pointSeed^0x5a5a5a5a)
-	if met != nil {
-		noise.SetObserver(&met.Chan)
-	}
-	// The receiver front-end impairment chain, applied to the composite
-	// signal just before decoding. Stage state (oscillator phase, clock
-	// drift, dropout runs) persists across the point's frames, as it
-	// would on hardware; the point seed keeps it deterministic.
-	var front *impair.Chain
 	if t.Scale.Impair != "" {
-		front, err = impair.NewFromSpec(t.Scale.Impair, cfg.SampleRate, pointSeed^0x3c3c3c3c)
-		if err != nil {
+		if med.Front, err = impair.NewFromSpec(t.Scale.Impair, cfg.SampleRate, pointSeed^0x3c3c3c3c); err != nil {
 			return 0, 0, err
 		}
-		if met != nil {
-			front.SetObserver(&met.Impair)
-		}
+	}
+	if met != nil {
+		med.SetObserver(met)
 	}
 	src := prng.New(pointSeed)
 	payload := make([]byte, t.Scale.PayloadBytes)
 
-	gain := math.Sqrt(t.Scale.NoiseVar) * stats.AmplitudeFromDB(snrDB)
 	lost := 0
 	lockSum := 0.0
-	// The receive buffer is reused across frames: each frame copies the
-	// burst in and applies channel effects in place, so the trial loop
-	// stays off the allocator in steady state.
-	var rxSamples, impaired []complex128
 	for i := 0; i < t.Scale.Frames; i++ {
 		for b := range payload {
 			payload[b] = byte(src.Uint64())
@@ -203,50 +188,7 @@ func (t Trial) PacketLossDetail(snrDB float64, pointSeed uint64) (plr, meanLock 
 		if err != nil {
 			return 0, 0, err
 		}
-		rxSamples = append(rxSamples[:0], burst.Samples...)
-		if gain != 1 {
-			for k := range rxSamples {
-				rxSamples[k] *= complex(gain, 0)
-			}
-		}
-		if t.RandomPhase || t.CFO > 0 {
-			// Phase/CFO-only impairments rotate in place on the private
-			// copy (channel.Impairments.Apply would copy again).
-			phase := 0.0
-			if t.RandomPhase {
-				phase = 2 * math.Pi * src.Float64()
-			}
-			cfo := 0.0
-			if t.CFO > 0 {
-				cfo = t.CFO
-				if src.Bit() == 1 {
-					cfo = -cfo
-				}
-			}
-			dsp.Mix(rxSamples, cfo, phase)
-		}
-		if jam != nil {
-			var j []complex128
-			if sensing != nil {
-				sensing.NewBurst()
-				j = sensing.Jam(rxSamples)
-			} else {
-				j = jam.Emit(len(rxSamples))
-			}
-			for k := range rxSamples {
-				rxSamples[k] += j[k]
-			}
-			if met != nil {
-				met.Chan.JamSamples.Add(int64(len(j)))
-			}
-		}
-		noise.Add(rxSamples)
-		decodeIn := rxSamples
-		if front.Len() > 0 {
-			impaired = front.ProcessAppend(impaired[:0], rxSamples)
-			decodeIn = impaired
-		}
-		got, st, err := rx.DecodeBurst(decodeIn)
+		got, st, err := rx.DecodeBurst(med.Apply(burst.Samples, src))
 		lockSum += st.CarrierLock
 		if err != nil || len(got) != len(payload) {
 			lost++

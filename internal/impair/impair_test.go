@@ -249,6 +249,38 @@ func TestClockStageInterpolation(t *testing.T) {
 	}
 }
 
+// TestRealisticSkewIsSubChipPerBurst justifies the receiver's ideal
+// chip-timing model: at the testbed's few-ppm clock skew (USRP N210-class
+// TCXO), the ppm stage's accumulated timing drift over the longest burst in
+// the experiments stays far below one sample. A ramp input makes the drift
+// readable directly: the cubic interpolator reproduces a linear signal
+// exactly, so output sample i carries the input position it read.
+func TestRealisticSkewIsSubChipPerBurst(t *testing.T) {
+	const burstSamples = 65536
+	ch, err := NewFromSpec("ppm=2.5", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ramp := make([]complex128, burstSamples)
+	for i := range ramp {
+		ramp[i] = complex(float64(i), 0)
+	}
+	out := ch.Process(ramp)
+	if len(out) < burstSamples-2 {
+		t.Fatalf("ppm stage emitted %d of %d samples", len(out), burstSamples)
+	}
+	var drift float64
+	for i, v := range out {
+		drift = math.Max(drift, float64(i)-real(v))
+	}
+	if drift <= 0 {
+		t.Fatal("ppm stage applied no skew")
+	}
+	if drift > 0.5 {
+		t.Fatalf("accumulated drift %v samples; the ideal-timing model would be invalid", drift)
+	}
+}
+
 // TestQuantizer covers rounding, clipping and NaN handling.
 func TestQuantizer(t *testing.T) {
 	st := newQuantizer(3, 1.0) // delta = 0.25

@@ -282,13 +282,18 @@ func TestHubTxOverflowBlockDeadline(t *testing.T) {
 
 // TestHubTxBackpressureRecovers: the block policy is lossless when a
 // receiver is draining — every sample sent arrives despite the tiny bound.
+// The receiver queue holds the whole stream (80 mixed blocks): with the
+// default 64 the mixer can fill it while the writer goroutine waits for a
+// CPU, and receiver-side shedding, a separate policy, then drops blocks.
 func TestHubTxBackpressureRecovers(t *testing.T) {
 	checkGoroutines(t)
+	const blocks, blockLen = 40, 256
 	h := startHub(t, HubConfig{
 		BlockSize:        128,
 		MaxPending:       256,
 		Overflow:         OverflowBlock,
 		OverflowDeadline: 10 * time.Second,
+		RxBuffer:         blocks * blockLen / 128,
 	})
 	addr := h.Addr().String()
 	rx, err := DialRx(addr)
@@ -302,7 +307,6 @@ func TestHubTxBackpressureRecovers(t *testing.T) {
 	}
 	defer tx.Close()
 
-	const blocks, blockLen = 40, 256
 	go func() {
 		block := make([]complex128, blockLen)
 		for i := range block {

@@ -136,16 +136,17 @@ func TestHubMixesTwoTransmitters(t *testing.T) {
 	}
 	got := recvN(t, rx, 256)
 	// Mixed = a + 0.1*b within a couple of blocks; the two sends may land
-	// in different mixing blocks, so integrate: total energy received must
-	// match the sum of both bursts.
+	// in different mixing blocks, in either order, so integrate: total
+	// energy received must match the sum of both bursts.
 	var sumI, sumQ float64
 	for _, v := range got {
 		sumI += real(v)
 		sumQ += imag(v)
 	}
 	// tx1 contributes 256 on I; tx2 contributes 25.6 on Q. If they landed
-	// in separate blocks we need to read further.
-	if math.Abs(sumI-256) > 1 {
+	// in separate blocks the other burst is in the next block, so read one
+	// more block when either sum is off.
+	if math.Abs(sumI-256) > 1 || math.Abs(sumQ-25.6) > 1 {
 		more := recvN(t, rx, 256)
 		for _, v := range more {
 			sumI += real(v)

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bhss/internal/channel"
 	"bhss/internal/impair"
-	"bhss/internal/prng"
 )
 
 // LinkState is one link's position in the registry lifecycle:
@@ -61,11 +61,11 @@ type link struct {
 	txs     map[int]*txQueue
 	txConns map[int]net.Conn
 	rxs     map[int]*rxConn
-	// noise is this link's private AWGN source. Link 0 uses prng.New(Seed)
+	// noise is this link's private AWGN floor. Link 0 is seeded with Seed
 	// exactly — the legacy hub's stream, bit-for-bit — and other links
 	// derive independent seeds from (Seed, id), so noise is deterministic
 	// per link regardless of join order or shard placement.
-	noise *prng.Source
+	noise *channel.AWGN
 	// impair and jam are the hub-level hooks; only link 0 carries them
 	// (they model the legacy shared front end and hub-side adversary).
 	impair *impair.Chain
@@ -160,7 +160,7 @@ func (h *Hub) admitLocked(id uint32) (*link, error) {
 		txs:     map[int]*txQueue{},
 		txConns: map[int]net.Conn{},
 		rxs:     map[int]*rxConn{},
-		noise:   prng.New(linkNoiseSeed(h.cfg.Seed, id)),
+		noise:   channel.NewAWGN(h.cfg.NoiseVar, linkNoiseSeed(h.cfg.Seed, id)),
 	}
 	if id == 0 {
 		lk.impair = h.cfg.Impair

@@ -2,7 +2,6 @@ package iqstream
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,7 +139,6 @@ type mixScratch struct {
 	impaired []complex128
 	ids      []int
 	tags     []tagContrib
-	noiseAmp float64
 }
 
 // tagContrib accumulates one excluded tag's scaled contribution to the
@@ -153,11 +151,7 @@ type tagContrib struct {
 }
 
 func (h *Hub) newMixScratch() *mixScratch {
-	sc := &mixScratch{block: make([]complex128, h.cfg.BlockSize)}
-	if h.cfg.NoiseVar > 0 {
-		sc.noiseAmp = math.Sqrt(h.cfg.NoiseVar)
-	}
-	return sc
+	return &mixScratch{block: make([]complex128, h.cfg.BlockSize)}
 }
 
 // mixLink mixes and delivers at most one block for one link, reporting
@@ -342,12 +336,7 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 			}
 		}
 	}
-	if sc.noiseAmp > 0 {
-		a := complex(sc.noiseAmp, 0)
-		for i := range block {
-			block[i] += lk.noise.ComplexNorm() * a
-		}
-	}
+	lk.noise.Add(block)
 	return true
 }
 

@@ -8,10 +8,10 @@ import (
 
 // GoroLeak checks that every goroutine spawned in non-test code has a
 // shutdown edge: some way for the rest of the program to make it return.
-// The long-lived types in this codebase (iqstream.Hub, core.rxPipeline,
-// obs.SnapshotWriter, the soak harness) all follow the same discipline — a
-// worker loop selects on a quit/done channel that Close/Shutdown closes, or
-// blocks on an operation that closing the underlying resource unblocks.
+// The long-lived types in this codebase (iqstream.Hub, obs.SnapshotWriter,
+// the soak harness) all follow the same discipline — a worker loop selects
+// on a quit/done channel that Close/Shutdown closes, or blocks on an
+// operation that closing the underlying resource unblocks.
 // This analyzer enforces that discipline over the whole program: the close()
 // may live in a different package than the loop.
 //

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bhss/internal/channel"
-	"bhss/internal/dsp"
 	"bhss/internal/prng"
 )
 
@@ -29,53 +28,32 @@ type ChannelModel struct {
 
 // SimLink wires a Transmitter and Receiver through a simulated channel with
 // an optional jammer — the one-call way to run jamming experiments against
-// the public API.
+// the public API. A sensing jammer (ReactiveJammer and the other
+// estimator-followers) overhears each burst on the air, before noise.
 type SimLink struct {
-	Tx      *Transmitter
-	Rx      *Receiver
-	Jammer  Jammer
-	channel ChannelModel
-	noise   *channel.AWGN
-	src     *prng.Source
-	met     *Observer
+	Tx     *Transmitter
+	Rx     *Receiver
+	Jammer Jammer
+	medium channel.Medium
+	src    *prng.Source
 
 	// Send-path scratch, reused across frames so a steady-state link does
-	// not allocate two burst-sized buffers per Send.
+	// not allocate a burst-sized buffer per Send.
 	//bhss:scratch
 	txBuf []complex128
-	//bhss:scratch
-	rxBuf []complex128
 }
 
 // WithObserver attaches a metrics pipeline to the link's transmitter,
-// receiver and channel (nil detaches) and returns the link for chaining.
-// Observation never alters what the link transmits or decodes.
+// receiver, channel and sensing jammer (nil detaches) and returns the link
+// for chaining. Observation never alters what the link transmits or
+// decodes.
 func (l *SimLink) WithObserver(p *Observer) *SimLink {
-	l.met = p
 	l.Tx.SetObserver(p)
 	l.Rx.SetObserver(p)
-	if p != nil {
-		l.noise.SetObserver(&p.Chan)
-	} else {
-		l.noise.SetObserver(nil)
-	}
+	l.medium.Jammer = l.Jammer
+	l.medium.SetObserver(p)
 	return l
 }
-
-// WithPipeline enables the receiver's concurrent decode pipeline on the link
-// (see PipelineConfig) and returns the link for chaining. Call Close when
-// done with a pipelined link to stop the stage goroutines.
-func (l *SimLink) WithPipeline(cfg PipelineConfig) (*SimLink, error) {
-	if err := l.Rx.EnablePipeline(cfg); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// Close releases link resources (the receiver's pipeline goroutines, when
-// enabled). A serial link closes as a no-op, so Close is always safe to
-// defer.
-func (l *SimLink) Close() error { return l.Rx.Close() }
 
 // NewSimLink builds the transmitter/receiver pair for cfg and connects them
 // through the channel model. jam may be nil for an unjammed link.
@@ -92,12 +70,16 @@ func NewSimLink(cfg Config, ch ChannelModel, jam Jammer) (*SimLink, error) {
 		return nil, err
 	}
 	return &SimLink{
-		Tx:      tx,
-		Rx:      rx,
-		Jammer:  jam,
-		channel: ch,
-		noise:   channel.NewAWGN(ch.NoiseVar, ch.Seed^0x5eed),
-		src:     prng.New(ch.Seed),
+		Tx:     tx,
+		Rx:     rx,
+		Jammer: jam,
+		medium: channel.Medium{
+			Gain:        math.Pow(10, -ch.SignalAttenuationDB/20),
+			RandomPhase: ch.RandomPhase,
+			CFO:         ch.CFO,
+			Noise:       channel.NewAWGN(ch.NoiseVar, ch.Seed^0x5eed),
+		},
+		src: prng.New(ch.Seed),
 	}, nil
 }
 
@@ -109,33 +91,8 @@ func (l *SimLink) Send(payload []byte) ([]byte, *RxStats, error) {
 		return nil, nil, err
 	}
 	l.txBuf = burst.Samples
-	l.rxBuf = append(l.rxBuf[:0], burst.Samples...)
-	rx := l.rxBuf
-	if l.channel.SignalAttenuationDB != 0 {
-		channel.Attenuate(rx, l.channel.SignalAttenuationDB)
-	}
-	if l.channel.RandomPhase || l.channel.CFO > 0 {
-		im := channel.Impairments{}
-		if l.channel.RandomPhase {
-			im.Phase = 2 * math.Pi * l.src.Float64()
-		}
-		if l.channel.CFO > 0 {
-			im.CFO = l.channel.CFO
-			if l.src.Bit() == 1 {
-				im.CFO = -im.CFO
-			}
-		}
-		rx = im.Apply(rx)
-	}
-	if l.Jammer != nil {
-		j := l.Jammer.Emit(len(rx))
-		dsp.AddTo(rx, j)
-		if l.met != nil {
-			l.met.Chan.JamSamples.Add(int64(len(j)))
-		}
-	}
-	l.noise.Add(rx)
-	return l.Rx.DecodeBurst(rx)
+	l.medium.Jammer = l.Jammer
+	return l.Rx.DecodeBurst(l.medium.Apply(burst.Samples, l.src))
 }
 
 // Run sends n frames of the given payload and returns the packet loss rate
