@@ -73,8 +73,10 @@ func (a *AWGN) Add(x []complex128) {
 //     (jammer and signal alike, as hardware does). Its stage state
 //     persists across bursts.
 //
-// Nil Jammer, Noise or Front skip their stage. A Medium reuses its buffers,
-// so a steady-state link allocates nothing per burst.
+// Nil Jammer, Noise or Front skip their stage. A Medium reuses its own
+// buffers, so in steady state a burst allocates only what the jammer
+// returns: with a jammer.Bandlimited that is the one burst-sized slice its
+// Emit hands back, and without a jammer nothing.
 type Medium struct {
 	// Gain scales the burst's amplitude; 1 leaves it untouched and 0
 	// silences the transmitter.

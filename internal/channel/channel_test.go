@@ -8,6 +8,7 @@ import (
 	"bhss/internal/alloctest"
 	"bhss/internal/dsp"
 	"bhss/internal/impair"
+	"bhss/internal/jammer"
 	"bhss/internal/obs"
 	"bhss/internal/prng"
 )
@@ -236,6 +237,9 @@ func TestMediumObserver(t *testing.T) {
 	}
 }
 
+// TestMediumZeroAlloc pins the medium's own stages at zero allocations per
+// burst. Its listener jammer answers with a slice it owns, so what a real
+// jammer allocates is pinned by TestMediumBandlimitedAllocs.
 func TestMediumZeroAlloc(t *testing.T) {
 	const n = 1024
 	front, err := impair.NewFromSpec("ppm=20,dc=0.01", 20, 0)
@@ -247,4 +251,26 @@ func TestMediumZeroAlloc(t *testing.T) {
 	m.SetObserver(obs.NewPipeline())
 	burst, src := rampSignal(n), prng.New(3)
 	alloctest.AssertZero(t, "Medium.Apply", func() { m.Apply(burst, src) })
+}
+
+// TestMediumBandlimitedAllocs pins the per-burst allocation with the
+// experiments' jammer: the one burst-sized slice Bandlimited.Emit returns.
+// The medium's own buffers, the AWGN floor and the front end add nothing.
+func TestMediumBandlimitedAllocs(t *testing.T) {
+	const n = 4096
+	front, err := impair.NewFromSpec("ppm=20,dc=0.01", 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jam, err := jammer.NewBandlimited(2.5/20, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Medium{Gain: 0.5, RandomPhase: true, CFO: 1e-4, Jammer: jam, Noise: NewAWGN(0.01, 1), Front: front}
+	m.SetObserver(obs.NewPipeline())
+	burst, src := rampSignal(n), prng.New(3)
+	m.Apply(burst, src)
+	if got := testing.AllocsPerRun(50, func() { m.Apply(burst, src) }); got != 1 {
+		t.Errorf("Medium.Apply with a Bandlimited jammer: %v allocs per burst, want 1", got)
+	}
 }

@@ -7,14 +7,12 @@ import (
 )
 
 // FIR is a finite impulse response filter with complex taps. Filtering is
-// available in three forms: streaming (Process, with state carried across
-// calls), one-shot direct convolution (Apply) and one-shot FFT overlap-save
-// convolution (ApplyFast) for long signals.
+// available in two one-shot forms: direct convolution (Apply) and FFT
+// overlap-save convolution (ApplyFast) for long signals. Streaming callers
+// filter through the Convolver, which carries its history across blocks.
 type FIR struct {
 	taps []complex128
-	//bhss:scratch
-	state []complex128 // delay line for streaming use, len == len(taps)-1
-	ols   *OverlapSave // lazily built fast convolver, shares the taps
+	ols  *OverlapSave // lazily built fast convolver, shares the taps
 }
 
 // NewFIR returns a filter with the given taps. The taps slice is copied.
@@ -22,9 +20,7 @@ func NewFIR(taps []complex128) *FIR {
 	if len(taps) == 0 {
 		panic("dsp: FIR requires at least one tap")
 	}
-	f := &FIR{taps: append([]complex128(nil), taps...)}
-	f.state = make([]complex128, len(taps)-1)
-	return f
+	return &FIR{taps: append([]complex128(nil), taps...)}
 }
 
 // NewFIRReal returns a filter from real-valued taps.
@@ -44,42 +40,9 @@ func (f *FIR) Taps() []complex128 {
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.taps) }
 
-// Reset clears the streaming delay line.
-func (f *FIR) Reset() {
-	for i := range f.state {
-		f.state[i] = 0
-	}
-}
-
-// Process filters a block of samples, carrying the delay line across calls,
-// and returns a new slice of the same length. The output at index i is
-// sum_k taps[k] * x[i-k] with history from previous blocks.
-func (f *FIR) Process(x []complex128) []complex128 {
-	k := len(f.taps)
-	out := make([]complex128, len(x))
-	// Work on a contiguous buffer of state + input for branch-free inner loop.
-	buf := make([]complex128, len(f.state)+len(x))
-	copy(buf, f.state)
-	copy(buf[len(f.state):], x)
-	for i := range x {
-		var acc complex128
-		base := i + k - 1
-		for t := 0; t < k; t++ {
-			acc += f.taps[t] * buf[base-t]
-		}
-		out[i] = acc
-	}
-	// Save tail as next state.
-	if k > 1 {
-		copy(f.state, buf[len(buf)-(k-1):])
-	}
-	return out
-}
-
 // Apply convolves x with the taps and returns the "same" central part of the
 // convolution: output has len(x) samples and is aligned so that a symmetric
-// (linear-phase) filter introduces no net shift. It does not touch streaming
-// state.
+// (linear-phase) filter introduces no net shift.
 func (f *FIR) Apply(x []complex128) []complex128 {
 	full := convolveDirect(x, f.taps)
 	return sameSlice(full, len(x), len(f.taps))

@@ -7,49 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestFIRProcessMatchesApply(t *testing.T) {
-	taps := []complex128{0.25, 0.5, 0.25}
-	x := randSignal(100, 42)
-
-	f1 := NewFIR(taps)
-	streamed := f1.Process(x)
-
-	full := Convolve(x, taps)
-	for i := range streamed {
-		if !cEq(streamed[i], full[i], 1e-12) {
-			t.Fatalf("sample %d: streamed %v, conv %v", i, streamed[i], full[i])
-		}
-	}
-}
-
-func TestFIRProcessAcrossBlocks(t *testing.T) {
-	taps := []complex128{1, -0.5, 0.25, 0.1}
-	x := randSignal(64, 7)
-
-	whole := NewFIR(taps).Process(x)
-
-	f := NewFIR(taps)
-	part := append(f.Process(x[:10]), f.Process(x[10:40])...)
-	part = append(part, f.Process(x[40:])...)
-
-	for i := range whole {
-		if !cEq(whole[i], part[i], 1e-12) {
-			t.Fatalf("block-split output diverges at %d", i)
-		}
-	}
-}
-
-func TestFIRReset(t *testing.T) {
-	taps := []complex128{1, 1}
-	f := NewFIR(taps)
-	f.Process([]complex128{5})
-	f.Reset()
-	out := f.Process([]complex128{1})
-	if !cEq(out[0], 1, 1e-15) {
-		t.Fatalf("after Reset, output = %v, want 1 (no history)", out[0])
-	}
-}
-
 func TestApplyFastMatchesApply(t *testing.T) {
 	taps := make([]complex128, 31)
 	for i := range taps {
@@ -288,15 +245,5 @@ func BenchmarkFIRApplyFast64k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.ApplyFast(x)
-	}
-}
-
-func BenchmarkFIRProcess4k(b *testing.B) {
-	f := LowPassFIR(0.1, 129, Blackman, 0)
-	x := randSignal(4096, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Reset()
-		f.Process(x)
 	}
 }

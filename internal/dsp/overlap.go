@@ -144,7 +144,7 @@ func (o *OverlapSave) ApplySame(dst, x []complex128) []complex128 {
 
 // Process streams x through the filter, appending len(x) output samples to
 // dst: out[i] = sum_t taps[t]*x[i-t] with history carried across calls,
-// exactly like FIR.Process but at FFT speed. Reset clears the history.
+// the streaming direct-form filter at FFT speed. Reset clears the history.
 //
 //bhss:hotpath
 func (o *OverlapSave) Process(dst, x []complex128) []complex128 {

@@ -49,6 +49,7 @@ func bind(Mode) {
 	unit4Inv = unit4InvAsm
 	radix4Fwd = radix4FwdAsm
 	radix4Inv = radix4InvAsm
+	firReal = firRealAsm
 }
 
 // The wrappers in kernels.go guarantee non-empty, length-matched slices
@@ -99,6 +100,10 @@ func radix4FwdAsm(x []complex128, h int, twA, twB []complex128) {
 
 func radix4InvAsm(x []complex128, h int, twA, twB []complex128) {
 	radix4InvAVX2(&x[0], len(x), h, &twA[0], &twB[0])
+}
+
+func firRealAsm(out, buf []complex128, taps []float64) {
+	firRealAVX2(&out[0], &buf[0], &taps[0], len(out), len(taps))
 }
 
 // Assembly routines (kernels_amd64.s, cpu_amd64.s).
@@ -157,3 +162,6 @@ func radix4FwdAVX2(x *complex128, n, h int, twA, twB *complex128)
 
 //go:noescape
 func radix4InvAVX2(x *complex128, n, h int, twA, twB *complex128)
+
+//go:noescape
+func firRealAVX2(out, buf *complex128, taps *float64, n, k int)

@@ -10,8 +10,9 @@ func detect() Mode { return NEON }
 // backend may contract a*b±c into a fused FMADD/FMSUB, so a NEON kernel
 // with separate rounding could differ from the compiled fallback in the
 // last ulp. Pure add/sub kernels (the FFT's twiddle-free stages, AddTo)
-// and pure multiply kernels (ScaleReal) are immune; everything else
-// dispatches to the canonical generic code.
+// and pure multiply kernels (ScaleReal) are immune; everything else,
+// FIRReal's multiply-accumulate included, dispatches to the canonical
+// generic code.
 func bind(Mode) {
 	addTo = addToAsmARM
 	scaleReal = scaleRealAsmARM

@@ -237,3 +237,44 @@ func radix4InvGeneric(x []complex128, h int, twA, twB []complex128) {
 		}
 	}
 }
+
+// firRealGeneric computes four outputs per pass, each accumulating its
+// taps in ascending order from zero, then the remaining outputs one at a
+// time. The explicit float64 conversions forbid multiply-add fusion, so
+// every target rounds the product before the add, as the AVX2 code does.
+func firRealGeneric(out, buf []complex128, taps []float64) {
+	k := len(taps)
+	n := len(out)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		var r0, q0, r1, q1, r2, q2, r3, q3 float64
+		j := i + k - 1
+		for _, h := range taps {
+			x := buf[j : j+4 : j+4]
+			r0 += float64(h * real(x[0]))
+			q0 += float64(h * imag(x[0]))
+			r1 += float64(h * real(x[1]))
+			q1 += float64(h * imag(x[1]))
+			r2 += float64(h * real(x[2]))
+			q2 += float64(h * imag(x[2]))
+			r3 += float64(h * real(x[3]))
+			q3 += float64(h * imag(x[3]))
+			j--
+		}
+		out[i] = complex(r0, q0)
+		out[i+1] = complex(r1, q1)
+		out[i+2] = complex(r2, q2)
+		out[i+3] = complex(r3, q3)
+	}
+	for ; i < n; i++ {
+		var r, q float64
+		j := i + k - 1
+		for _, h := range taps {
+			x := buf[j]
+			r += float64(h * real(x))
+			q += float64(h * imag(x))
+			j--
+		}
+		out[i] = complex(r, q)
+	}
+}

@@ -22,6 +22,7 @@ var (
 	unit4Inv   func(x []complex128)                                   = unit4InvGeneric
 	radix4Fwd  func(x []complex128, h int, twA, twB []complex128)     = radix4FwdGeneric
 	radix4Inv  func(x []complex128, h int, twA, twB []complex128)     = radix4InvGeneric
+	firReal    func(out, buf []complex128, taps []float64)            = firRealGeneric
 )
 
 // CMulTo multiplies dst element-wise by src: dst[i] *= src[i], over the
@@ -217,4 +218,24 @@ func Radix4Inverse(x []complex128, h int, twA, twB []complex128) {
 		return
 	}
 	radix4Inv(x, h, twA[:h], twB[:h])
+}
+
+// FIRReal runs a real-tap FIR filter over a delay line followed by the
+// input: with k = len(taps), buf holds k−1 samples of history and then
+// len(out) new samples, and out[i] = Σₜ taps[t]·buf[i+k−1−t], the sum
+// taken in ascending t starting from zero — exactly the order of the
+// scalar direct-form loop. Each output is an independent element, so the
+// vector code runs across outputs and rounds like the scalar loop. len(buf)
+// must be at least len(out)+len(taps)−1; out must not alias buf.
+func FIRReal(out, buf []complex128, taps []float64) {
+	n, k := len(out), len(taps)
+	if n == 0 {
+		return
+	}
+	if k == 0 {
+		//bhss:allow(panicpolicy) a filter without taps is a caller bug, like indexing out of range
+		panic("simd: FIRReal needs at least one tap")
+	}
+	_ = buf[n+k-2]
+	firReal(out, buf[:n+k-1], taps)
 }

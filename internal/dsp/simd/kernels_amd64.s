@@ -795,3 +795,103 @@ r4ik:
 	JLT  r4iblock
 	VZEROUPPER
 	RET
+
+// func firRealAVX2(out, buf *complex128, taps *float64, n, k int)
+// out[i] = Σₜ taps[t]·buf[i+k−1−t], vectorized across outputs: each tap is
+// broadcast to every lane and multiplied into four outputs' (re, im) pairs
+// at once, so every lane accumulates its own output's taps in ascending
+// order from +0, with separate VMULPD and VADDPD — the scalar loop's exact
+// rounding. Blocks of eight outputs (four accumulators hide the add
+// latency), then pairs, then a last odd output in an XMM register.
+TEXT ·firRealAVX2(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ buf+8(FP), SI
+	MOVQ taps+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ k+32(FP), R9
+	LEAQ -1(R9), R10
+	SHLQ $4, R10
+	ADDQ R10, SI             // SI = &buf[k−1], the newest sample of out[0]
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   fr2
+
+fr8:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX            // AX steps back one sample per tap
+	MOVQ   R8, BX
+	MOVQ   R9, R11
+
+fr8tap:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (AX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(AX), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(AX), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(AX), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, BX
+	SUBQ         $16, AX
+	DECQ         R11
+	JNZ          fr8tap
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	DECQ         DX
+	JNZ          fr8
+
+fr2:
+	MOVQ CX, DX
+	ANDQ $7, DX
+	SHRQ $1, DX
+	JZ   fr1
+
+fr2loop:
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R8, BX
+	MOVQ   R9, R11
+
+fr2tap:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (AX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, BX
+	SUBQ         $16, AX
+	DECQ         R11
+	JNZ          fr2tap
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	DECQ         DX
+	JNZ          fr2loop
+
+fr1:
+	ANDQ $1, CX
+	JZ   frdone
+	VXORPD X0, X0, X0
+	MOVQ   SI, AX
+	MOVQ   R8, BX
+	MOVQ   R9, R11
+
+fr1tap:
+	VMOVDDUP (BX), X4
+	VMULPD   (AX), X4, X5
+	VADDPD   X5, X0, X0
+	ADDQ     $8, BX
+	SUBQ     $16, AX
+	DECQ     R11
+	JNZ      fr1tap
+	VMOVUPD  X0, (DI)
+
+frdone:
+	VZEROUPPER
+	RET

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -366,6 +367,56 @@ func TestRadix4Parity(t *testing.T) {
 	}
 }
 
+// firRealNaive is the direct-form definition of FIRReal: one output at a
+// time, taps in ascending order.
+func firRealNaive(out, buf []complex128, taps []float64) {
+	k := len(taps)
+	for i := range out {
+		var re, im float64
+		for t, h := range taps {
+			x := buf[i+k-1-t]
+			re += float64(h * real(x))
+			im += float64(h * imag(x))
+		}
+		out[i] = complex(re, im)
+	}
+}
+
+func TestFIRRealParity(t *testing.T) {
+	rng := lcg(14)
+	sentinel := complex(math.Inf(1), math.NaN())
+	for _, k := range []int{1, 2, 3, 129, 513} {
+		taps := rng.floatSlice(k)
+		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 4095} {
+			buf := rng.complexSlice(n + k - 1)
+			want := make([]complex128, n)
+			firRealNaive(want, buf, taps)
+
+			gen := make([]complex128, n)
+			firRealGeneric(gen, buf, taps)
+			sameC(t, "firRealGeneric", gen, want)
+
+			// One spare slot past the end must stay untouched.
+			got := make([]complex128, n+1)
+			got[n] = sentinel
+			FIRReal(got[:n], buf, taps)
+			sameC(t, "FIRReal", got[:n], want)
+			if g := got[n]; !math.IsInf(real(g), 1) || !math.IsNaN(imag(g)) {
+				t.Fatalf("FIRReal k=%d n=%d wrote past the output: %v", k, n, g)
+			}
+		}
+	}
+}
+
+func TestFIRRealRejectsShortBuffer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FIRReal accepted a buffer one sample short")
+		}
+	}()
+	FIRReal(make([]complex128, 8), make([]complex128, 8+3-2), make([]float64, 3))
+}
+
 // Micro-benchmarks for the kernels the link hot path leans on.
 
 func benchComplexPair(n int) ([]complex128, []complex128) {
@@ -428,4 +479,21 @@ func BenchmarkDotConj(b *testing.B) {
 		sink = DotConj(a, x)
 	}
 	_ = sink
+}
+
+func BenchmarkFIRReal(b *testing.B) {
+	for _, k := range []int{129, 513} {
+		b.Run(fmt.Sprintf("taps=%d", k), func(b *testing.B) {
+			rng := lcg(99)
+			const n = 4096
+			taps := rng.floatSlice(k)
+			buf := rng.complexSlice(n + k - 1)
+			out := make([]complex128, n)
+			b.SetBytes(n * 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FIRReal(out, buf, taps)
+			}
+		})
+	}
 }

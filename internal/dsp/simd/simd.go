@@ -2,7 +2,8 @@
 // inner loops of the BHSS signal chain: complex element-wise multiply for
 // overlap-save convolution, the fused radix-4 FFT butterfly passes, the
 // half-sine modulate/demodulate loops, PSD magnitude-squared accumulation,
-// and the correlation reductions used by acquisition and despreading.
+// the correlation reductions used by acquisition and despreading, and the
+// real-tap FIR that band-limits jammer noise.
 //
 // One kernel set is selected at package init — AVX2 (written in Go
 // assembly) on amd64, NEON on arm64 for the kernels whose rounding is
@@ -17,11 +18,12 @@
 // golden-vector and parity tests pin this. Two rules make it possible:
 //
 //   - Element-wise kernels (CMulTo, WindowInto, Mag2Accum, Modulate,
-//     Pow4Into, the FFT butterfly passes) perform exactly the scalar
-//     sequence of IEEE-754 operations per element — the AVX2 code uses
-//     separate multiply and add instructions (never FMA, which amd64 Go
-//     also never emits) and VADDSUBPD for the complex cross terms, so each
-//     lane rounds exactly like the scalar expression.
+//     Pow4Into, the FFT butterfly passes, and FIRReal, whose vector lanes
+//     are independent outputs) perform exactly the scalar sequence of
+//     IEEE-754 operations per element — the AVX2 code uses separate
+//     multiply and add instructions (never FMA, which amd64 Go also never
+//     emits) and VADDSUBPD for the complex cross terms, so each lane
+//     rounds exactly like the scalar expression.
 //   - Reduction kernels (Demodulate, DotConj, CorrReal, SumFloats) define
 //     a canonical blocked accumulation order — two complex lanes (even/odd
 //     elements) or four float lanes, combined pairwise at the end, with

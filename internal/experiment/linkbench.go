@@ -26,8 +26,9 @@ type LinkBenchSample struct {
 }
 
 // LinkBenchResult is the machine-readable output of `bhssbench -exp
-// throughput`, committed as BENCH_link.json and used by CI as the
-// performance-regression baseline.
+// throughput`, committed as BENCH_link.json: a recorded reference point.
+// CI gates the link against the merge-base measured on the same runner,
+// not against this file.
 type LinkBenchResult struct {
 	// GitRev is the source revision the numbers were measured at (filled
 	// by the caller; the library cannot know it).

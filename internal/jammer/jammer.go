@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"bhss/internal/dsp"
+	"bhss/internal/dsp/simd"
 	"bhss/internal/hop"
 	"bhss/internal/prng"
 )
@@ -40,26 +41,38 @@ type Bandlimited struct {
 	power float64
 	seed0 uint64
 	src   *prng.Source
-	fir   *dsp.FIR
+	taps  []float64 // real low-pass taps; nil for full-band noise
 	scale float64
+	//bhss:scratch
+	line []complex128 // the filter's len(taps)-1 delay line, then Emit's fresh draws
 }
 
-// filterTapsForBW returns a low-pass FIR selecting the two-sided bandwidth
-// bw. For bw >= 1 the noise is already full-band and no filter is needed.
-func filterTapsForBW(bw float64) *dsp.FIR {
+// filterTapsForBW returns the taps of a low-pass FIR selecting the
+// two-sided bandwidth bw. For bw >= 1 the noise is already full-band and no
+// filter is needed. The windowed-sinc design is real; the check keeps the
+// real-tap kernel honest should the design ever change.
+func filterTapsForBW(bw float64) ([]float64, error) {
 	if bw >= 1 {
-		return nil
+		return nil, nil
 	}
 	cutoff := bw / 2
 	if cutoff < 1e-4 {
 		cutoff = 1e-4
 	}
-	taps := 129
+	n := 129
 	// Very narrow bands need more taps to be realized at all.
 	if cutoff < 0.01 {
-		taps = 513
+		n = 513
 	}
-	return dsp.LowPassFIR(cutoff, taps, dsp.Blackman, 0)
+	fir := dsp.LowPassFIR(cutoff, n, dsp.Blackman, 0)
+	taps := make([]float64, 0, n)
+	for _, t := range fir.Taps() {
+		if imag(t) != 0 {
+			return nil, fmt.Errorf("jammer: band filter for bw %v has a complex tap %v", bw, t)
+		}
+		taps = append(taps, real(t))
+	}
+	return taps, nil
 }
 
 // NewBandlimited returns a band-limited AWGN jammer with the given
@@ -71,37 +84,42 @@ func NewBandlimited(bw, power float64, seed uint64) (*Bandlimited, error) {
 	if power < 0 {
 		return nil, fmt.Errorf("jammer: negative power %v", power)
 	}
-	b := &Bandlimited{bw: bw, power: power, seed0: seed, src: prng.New(seed), fir: filterTapsForBW(bw)}
+	taps, err := filterTapsForBW(bw)
+	if err != nil {
+		return nil, err
+	}
+	b := &Bandlimited{bw: bw, power: power, seed0: seed, src: prng.New(seed), taps: taps}
+	if len(taps) > 1 {
+		b.line = make([]complex128, len(taps)-1)
+	}
 	b.calibrate()
 	b.warm()
 	return b, nil
 }
 
-// warm primes the filter's delay line so the first emitted samples already
+// warm loads the filter's delay line so the first emitted samples already
 // carry full power — the jammer transmits continuously; the capture window
-// just opens somewhere in its stream.
+// just opens somewhere in its stream. It draws one filter length of noise
+// and keeps the last len(taps)-1 draws: exactly the history a filter
+// started from zero holds after consuming them, without computing the
+// outputs nobody reads.
 func (b *Bandlimited) warm() {
-	if b.fir == nil || b.power == 0 {
+	if b.taps == nil || b.power == 0 {
 		return
 	}
-	warm := make([]complex128, b.fir.Len())
-	for i := range warm {
-		warm[i] = b.src.ComplexNorm()
+	b.src.ComplexNorm()
+	for i := range b.line[:len(b.taps)-1] {
+		b.line[i] = b.src.ComplexNorm()
 	}
-	b.fir.Process(warm)
 }
 
 // Reseed rewinds the jammer to the exact state of a freshly constructed
-// NewBandlimited(bw, power, seed): the noise source is re-seeded, the
-// filter's delay line cleared and the warm-up re-run, so the emitted stream
-// is bit-identical to a new jammer's. It lets Hopping reuse one Bandlimited
-// per distribution entry instead of redesigning the band-selection filter
-// every hop.
+// NewBandlimited(bw, power, seed): the noise source is re-seeded and the
+// delay line reloaded, so the emitted stream is bit-identical to a new
+// jammer's. It lets Hopping reuse one Bandlimited per distribution entry
+// instead of redesigning the band-selection filter every hop.
 func (b *Bandlimited) Reseed(seed uint64) {
 	b.src.Reseed(seed)
-	if b.fir != nil {
-		b.fir.Reset()
-	}
 	b.warm()
 }
 
@@ -110,19 +128,19 @@ func (b *Bandlimited) Reset() { b.Reseed(b.seed0) }
 
 // calibrate computes the filter's noise power gain so the emitted power
 // hits the budget regardless of bandwidth: white noise of unit variance
-// through an FIR h has output variance sum(|h|^2).
+// through an FIR h has output variance sum(h^2).
 func (b *Bandlimited) calibrate() {
 	if b.power == 0 {
 		b.scale = 0
 		return
 	}
-	if b.fir == nil {
+	if b.taps == nil {
 		b.scale = math.Sqrt(b.power)
 		return
 	}
 	var gain float64
-	for _, tap := range b.fir.Taps() {
-		gain += real(tap)*real(tap) + imag(tap)*imag(tap)
+	for _, tap := range b.taps {
+		gain += tap * tap
 	}
 	if gain <= 0 {
 		b.scale = 0
@@ -137,17 +155,31 @@ func (b *Bandlimited) Bandwidth() float64 { return b.bw }
 // Power returns the jammer's average power.
 func (b *Bandlimited) Power() float64 { return b.power }
 
-// Emit returns the next n samples of band-limited noise.
+// Emit returns the next n samples of band-limited noise in a fresh slice,
+// its only allocation once the scratch has grown to the largest n seen.
+// Noise is drawn straight in behind the delay line and filtered into the
+// result by the real-tap kernel; the last len(taps)-1 draws become the next
+// call's history.
 func (b *Bandlimited) Emit(n int) []complex128 {
 	out := make([]complex128, n)
 	if b.scale == 0 {
 		return out
 	}
-	for i := range out {
-		out[i] = b.src.ComplexNorm()
-	}
-	if b.fir != nil {
-		out = b.fir.Process(out)
+	if b.taps == nil {
+		for i := range out {
+			out[i] = b.src.ComplexNorm()
+		}
+	} else {
+		hist := len(b.taps) - 1
+		if cap(b.line) < hist+n {
+			b.line = append(make([]complex128, 0, hist+n), b.line[:hist]...)
+		}
+		line := b.line[:hist+n]
+		for i := hist; i < len(line); i++ {
+			line[i] = b.src.ComplexNorm()
+		}
+		simd.FIRReal(out, line, b.taps)
+		copy(line, line[n:])
 	}
 	g := complex(b.scale, 0)
 	for i := range out {

@@ -271,14 +271,6 @@ func TestReactiveErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkBandlimitedEmit(b *testing.B) {
-	j, _ := NewBandlimited(0.1, 1, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		j.Emit(4096)
-	}
-}
-
 func TestReactiveMemoryJamsFromFirstSample(t *testing.T) {
 	src := prng.New(77)
 	chips := make([]complex128, 2048)

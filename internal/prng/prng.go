@@ -131,9 +131,13 @@ func (s *Source) NormFloat64() float64 {
 	}
 	v := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u))
-	s.gauss = r * math.Sin(2*math.Pi*v)
+	// One Sincos shares the argument reduction of the separate Sin and
+	// Cos calls and evaluates the same polynomials, so for this
+	// non-negative argument it returns their exact bits at lower cost.
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	s.gauss = r * sin
 	s.haveGauss = true
-	return r * math.Cos(2*math.Pi*v)
+	return r * cos
 }
 
 // ComplexNorm returns a circularly symmetric complex Gaussian sample with
